@@ -2,9 +2,9 @@
 """Quickstart: histogram and connected components in five minutes.
 
 Runs the paper's two primitives on one of the Figure-1 test images,
-both on the simulated CM-5 (with the full cost report) and through the
-real-parallel runtime, and checks them against the sequential
-baselines.
+both on the simulated CM-5 (with the full cost report) and on real
+worker processes (the distributed array over shared memory), and
+checks them against the sequential baselines.
 
 Usage:
     python examples/quickstart.py [image-index 1..9] [size]
@@ -17,8 +17,8 @@ import numpy as np
 import repro
 from repro.baselines import count_components
 from repro.images import binary_test_image
+from repro.darray import darray_components
 from repro.machines import CM5
-from repro.runtime import components as runtime_components
 
 
 def main() -> None:
@@ -48,14 +48,14 @@ def main() -> None:
     for name, t in breakdown[:5]:
         print(f"  {name:<16} {t * 1e3:8.3f} ms")
 
-    # --- the same computation, truly parallel (or serial fallback) -----
-    labels = runtime_components(image)
+    # --- the same computation on shared-memory worker processes --------
+    labels = darray_components(image, p=4, transport="shmem").labels
     assert np.array_equal(labels, cc.labels)
     seq = repro.sequential_components(image)
     assert np.array_equal(labels, seq)
     print(
-        f"runtime backend agrees with the simulator and the sequential "
-        f"baseline: {count_components(labels)} components."
+        f"shared-memory runtime backend agrees with the simulator and the "
+        f"sequential baseline: {count_components(labels)} components."
     )
 
 

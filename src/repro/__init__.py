@@ -17,8 +17,10 @@ The package provides
 * machine models for the five platforms of the experimental study
   (:mod:`repro.machines`),
 * sequential baselines and test-image generators,
-* a real multiprocessing runtime (:mod:`repro.runtime`) for wall-clock
-  parallel runs on multi-core hosts, and
+* a distributed tile array (:mod:`repro.darray`) that runs the same
+  schedule in process, over shared-memory worker processes (the
+  ``shmem`` transport, for wall-clock parallel runs on multi-core
+  hosts) or out of core, and
 * a kernel registry (:mod:`repro.kernels`) dispatching the hot local
   steps to a per-pixel ``python`` reference or a bit-identical
   vectorized ``numpy`` backend (see docs/KERNELS.md).

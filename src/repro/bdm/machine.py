@@ -20,6 +20,7 @@ the paper's Split-C code (compute / ``sync()`` / ``barrier()``).
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Iterator
 
 from repro.bdm.cost import CostCounter, MachineReport, PhaseRecord
@@ -67,11 +68,17 @@ class Processor:
     """One virtual processor: identity plus cost charging."""
 
     def __init__(self, machine: "Machine", pid: int):
-        self.machine = machine
+        # Weak, so the machine's arrays are freed by reference counting
+        # when the last caller drops the machine, not by the cyclic GC.
+        self._machine = weakref.ref(machine)
         self.pid = pid
         self.cost = CostCounter()
         self._batch_depth = 0
         self._batch_latency_charged = False
+
+    @property
+    def machine(self) -> "Machine":
+        return self._machine()
 
     # -- computation -----------------------------------------------------
 
@@ -204,7 +211,9 @@ class Machine:
         self.overlap = bool(overlap)
         self.procs = [Processor(self, pid) for pid in range(self.p)]
         self._phases: list[PhaseRecord] = []
-        self._arrays: list = []
+        # Weak: each GlobalArray holds its machine, so a strong list here
+        # would make every simulated array part of a reference cycle.
+        self._arrays: weakref.WeakSet = weakref.WeakSet()
         self.in_phase = False
         self.phase_name: str | None = None  # label of the running phase
         self._tracer = None  # set by repro.bdm.trace.Tracer
@@ -247,7 +256,7 @@ class Machine:
     # -- arrays ------------------------------------------------------------
 
     def _register_array(self, arr) -> None:
-        self._arrays.append(arr)
+        self._arrays.add(arr)
 
     def _charge_server(self, owner: int, words: int) -> None:
         if self.charge_server:

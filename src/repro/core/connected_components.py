@@ -174,7 +174,7 @@ def parallel_components(
         ``shadow_manager=False`` for that group.  Losing both (or the
         manager with ``shadow_manager=False``) is unrecoverable and
         raises :class:`~repro.utils.errors.FailoverError`.  Specs at
-        other sites target the process runtime and are ignored here.
+        other sites target the darray worker processes and are ignored here.
     """
     image = check_image(image, square=False)
     if distribution not in ("direct", "transpose"):

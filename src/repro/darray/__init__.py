@@ -14,7 +14,8 @@ Three transports implement the contract (see ``docs/DARRAY.md``):
 * ``local`` -- shards are in-process ndarrays (today's behavior);
 * ``shmem`` -- shards live in per-tile POSIX shared-memory segments and
   every verb is a dispatched worker task with deadline/retry/respawn
-  recovery and ``darray:border`` / ``darray:fetch`` fault sites;
+  recovery and a ``darray:<verb>`` fault site -- the repository's one
+  multiprocess engine;
 * ``mmap`` -- out-of-core: pixels stream from a memory-mapped binary
   PGM, label tiles spill to disk, and only the perimeter labels stay
   resident through the merge rounds, so peak memory is one tile plus

@@ -4,10 +4,10 @@ These helpers are the concrete data movements behind the transport
 contract's verbs 2 and 3 when tiles live in one address space: extract
 one side of a merge border from a global label/color array, and apply a
 change array to the perimeters of a region's tiles.  The in-process
-``local`` transport and the hardened multiprocessing runtime
-(:mod:`repro.runtime.parallel`) both consume them, so the two code
-paths cannot drift; the ``shmem`` transport runs the same functions
-inside pool workers against shard segments.
+``local`` transport consumes them directly; the ``shmem`` and ``mmap``
+transports share the perimeter geometry (:func:`perimeter_coords`,
+:func:`edge_positions`) and the traffic accounting (:func:`side_nbytes`),
+so the placements cannot drift.
 
 All functions take the kernel callables (``border_extract`` /
 ``relabel``) as arguments rather than resolving backends themselves --

@@ -14,10 +14,12 @@ Observability: the driver wraps the phases in ``darray:label`` /
 transport's traffic counters (border bytes, change bytes, spill
 reads/writes, resident-tile highwater) as ``darray:*`` counts.
 
-Fault handling matches the hardened runtime: an unrecoverable
-:class:`~repro.utils.errors.FaultError` out of a transport degrades to
-the serial kernel engine (``DegradedRunWarning`` + ``fault:degrade``
-instant, bit-identical result) unless ``degrade=False``.
+Fault handling: the ``shmem`` transport dispatches every verb through
+the deadline/retry/respawn dispatcher (:mod:`repro.runtime.dispatch`),
+and an unrecoverable :class:`~repro.utils.errors.FaultError` out of a
+transport degrades to the serial kernel engine (``DegradedRunWarning``
++ ``fault:degrade`` instant, bit-identical result) unless
+``degrade=False``.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ Every tile gets two POSIX shared-memory segments (image shard + label
 shard, :class:`~repro.runtime.shmem.SharedNDArray`); the verbs run as
 tasks on a :class:`~repro.runtime.dispatch.PoolSupervisor` through the
 deadline/retry/respawn dispatcher, so a crashed, hung, or corrupted
-verb is recovered exactly like any other runtime task.  Two fault
-sites instrument the communication verbs:
+verb is recovered exactly like any other dispatched task.  Every verb
+task is a fault site, named like the dispatch site it runs under:
 
+* ``darray:label`` / ``darray:final`` / ``darray:hist`` fire in the
+  tile-local tasks (``task`` = tile id);
 * ``darray:border`` fires in a border-exchange task; a ``corrupt`` spec
   damages the fetched labels, which validation converts into the
   retryable :class:`~repro.utils.errors.CorruptPayloadError`;
@@ -24,7 +26,6 @@ disjoint).  Teardown is ExitStack-guaranteed: every path out of
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
 import os
 
 import numpy as np
@@ -38,7 +39,7 @@ from repro.faults.inject import corrupt_labels, fire, install_plan, validate_bor
 from repro.faults.plan import FaultPlan
 from repro.kernels import get as get_kernel, resolve_backend
 from repro.obs.runtime import init_worker_sink, task_span, worker_instant
-from repro.runtime.dispatch import PoolSupervisor, run_tasks
+from repro.runtime.dispatch import PoolSupervisor, pool_context, run_tasks
 from repro.runtime.shmem import SharedNDArray
 from repro.utils.errors import CorruptPayloadError
 from repro.utils.validation import check_image
@@ -61,6 +62,7 @@ def _shard_init(metas, opts, obs=None, plan: FaultPlan | None = None) -> None:
 def _shard_label(arg):
     """Verb 1: label one shard in place; return its hooks."""
     pid, attempt = arg
+    fire("darray:label", task=pid, attempt=attempt)
     with task_span(f"darray:label:t{pid}"):
         opts = _SHARD["opts"]
         img, lab = _SHARD["tiles"][pid]
@@ -96,7 +98,7 @@ def _shard_border(arg):
         if spec is not None:
             labels = corrupt_labels(labels)
         try:
-            validate_border_labels(labels, site="darray:border")
+            validate_border_labels(labels)
         except CorruptPayloadError:
             worker_instant(
                 "fault:corrupt-detected", round=step_index, group=group_index
@@ -123,6 +125,7 @@ def _shard_fetch_changes(arg):
 def _shard_final(arg):
     """Verb 1: hook-based final interior relabel of one shard."""
     (pid, hooks), attempt = arg
+    fire("darray:final", task=pid, attempt=attempt)
     with task_span(f"darray:final:t{pid}"):
         _img, lab = _SHARD["tiles"][pid]
         lab.array[:] = apply_hooks(lab.array, hooks)
@@ -132,17 +135,11 @@ def _shard_final(arg):
 def _shard_hist(arg):
     """Verb 1: grey-level tally of one shard."""
     (pid, k), attempt = arg
+    fire("darray:hist", task=pid, attempt=attempt)
     with task_span(f"darray:hist:t{pid}"):
         opts = _SHARD["opts"]
         img, _lab = _SHARD["tiles"][pid]
         return get_kernel("histogram", backend=opts["kernel"])(img.array, k)
-
-
-def _pool_context():
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return mp.get_context("spawn")
 
 
 class ShmemTransport(Transport):
@@ -191,7 +188,7 @@ class ShmemTransport(Transport):
                 "grey": grey,
                 "kernel": self.kernel,
             }
-            ctx = _pool_context()
+            ctx = pool_context()
             obs = None
             if recorder is not None:
                 recorder.make_queue(ctx)
@@ -211,38 +208,42 @@ class ShmemTransport(Transport):
             self._stack.close()
             raise
 
+    def _run(self, fn, payloads, site: str) -> list:
+        """Dispatch one verb's tasks, then fold the workers' spans in.
+
+        Draining after every verb keeps the span pipe from filling up
+        (a worker blocked on a full pipe would look hung).
+        """
+        try:
+            return run_tasks(self._pool, fn, payloads, site=site, **self._dispatch)
+        finally:
+            if self._recorder is not None:
+                self._recorder.drain()
+
     # -- verb 1: tile-local compute ---------------------------------------
 
     def label(self) -> dict[int, TileHooks]:
-        results = run_tasks(
-            self._pool, _shard_label, range(self.grid.p),
-            site="darray:label", **self._dispatch,
-        )
-        return dict(results)
+        return dict(self._run(_shard_label, range(self.grid.p), "darray:label"))
 
     def finalize(self, hooks: dict[int, TileHooks]) -> None:
-        run_tasks(
-            self._pool, _shard_final,
-            [(pid, hooks[pid]) for pid in range(self.grid.p)],
-            site="darray:final", **self._dispatch,
+        self._run(
+            _shard_final, [(pid, hooks[pid]) for pid in range(self.grid.p)],
+            "darray:final",
         )
 
     def histogram(self, k: int) -> np.ndarray:
-        partials = run_tasks(
-            self._pool, _shard_hist, [(pid, k) for pid in range(self.grid.p)],
-            site="darray:hist", **self._dispatch,
+        partials = self._run(
+            _shard_hist, [(pid, k) for pid in range(self.grid.p)], "darray:hist"
         )
         return np.sum(partials, axis=0, dtype=np.int64)
 
     # -- verb 2: border exchange -------------------------------------------
 
     def border(self, step_index, group_index, pids, edge) -> BorderSide:
-        (payload,) = run_tasks(
-            self._pool, _shard_border,
-            [(step_index, group_index, tuple(pids), edge)],
-            site="darray:border", **self._dispatch,
+        ((labels, colors),) = self._run(
+            _shard_border, [(step_index, group_index, tuple(pids), edge)],
+            "darray:border",
         )
-        labels, colors = payload
         side = BorderSide(labels, colors)
         self.stats.border_bytes += side_nbytes(side)
         return side
@@ -250,10 +251,10 @@ class ShmemTransport(Transport):
     # -- verb 3: change publish/fetch --------------------------------------
 
     def publish(self, step_index, group_index, pids, alphas, betas) -> None:
-        run_tasks(
-            self._pool, _shard_fetch_changes,
+        self._run(
+            _shard_fetch_changes,
             [(step_index, group_index, tuple(pids), alphas, betas)],
-            site="darray:fetch", **self._dispatch,
+            "darray:fetch",
         )
         self.stats.change_bytes += int((alphas.nbytes + betas.nbytes) * len(pids))
 

@@ -6,10 +6,10 @@ package exploits: a declarative, seeded :class:`FaultPlan` injects
 worker crashes, hangs, transient exceptions, and corrupted border
 payloads at named sites, and the two engines recover:
 
-* the **multiprocessing runtime** gains per-task deadlines, bounded
-  retry with exponential backoff, pool respawn on worker death, and
-  graceful degradation to the serial engine
-  (:mod:`repro.runtime.dispatch`);
+* the **multiprocess darray engine** (``shmem`` transport) gains
+  per-task deadlines, bounded retry with exponential backoff, pool
+  respawn on worker death (:mod:`repro.runtime.dispatch`), and
+  graceful degradation to the serial engine;
 * the **BDM simulator** gains a processor-fault model at merge-round
   boundaries where the shadow manager fails over, so any single
   manager loss per round still yields bit-identical labels

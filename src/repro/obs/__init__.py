@@ -10,9 +10,9 @@ equivalent instrument -- one event model
   barrier waits, the (server, mover) communication matrix, hazard
   provenance) on the simulated clock;
 * :class:`~repro.obs.runtime.WallRecorder` observes the real
-  :mod:`repro.runtime` multiprocessing backend (worker tasks, merge
-  rounds, shared-memory setup) on the wall clock, collected across
-  processes via a queue;
+  multiprocess engine -- :mod:`repro.darray` over its ``shmem``
+  transport -- and the service's worker pool (worker tasks, merge
+  rounds) on the wall clock, collected across processes via a queue;
 
 and exporters that consume either:
 

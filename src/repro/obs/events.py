@@ -13,8 +13,8 @@ event kinds, accumulated in an :class:`EventLog`:
 
 The two engines differ only in their clock: the simulated
 :class:`~repro.bdm.machine.Machine` produces spans in *simulated*
-seconds (``clock="sim"``), the :mod:`repro.runtime` multiprocessing
-backend in wall-clock seconds (``clock="wall"``).  Exporters
+seconds (``clock="sim"``), the multiprocess darray engine in
+wall-clock seconds (``clock="wall"``).  Exporters
 (:mod:`repro.obs.export`, :mod:`repro.obs.metrics`) consume an
 :class:`EventLog` without caring which engine filled it.
 """

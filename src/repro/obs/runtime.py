@@ -1,17 +1,18 @@
-"""Wall-clock recording for the real multiprocessing runtime.
+"""Wall-clock recording for the real multiprocess engines.
 
-The :mod:`repro.runtime` backend runs genuine OS processes, so spans
+The supervised pools (:mod:`repro.runtime.dispatch`) behind the darray
+``shmem`` transport and the service run genuine OS processes, so spans
 must be collected *across* processes: the driver owns a
 :class:`WallRecorder`, hands its queue to the pool initializer, and
 workers push tagged tuples through it (``time.perf_counter`` is
-CLOCK_MONOTONIC, comparable across processes on the same host).  After
-the pool joins, :meth:`WallRecorder.drain` folds the worker events into
-the driver's :class:`~repro.obs.events.EventLog` on a common epoch.
+CLOCK_MONOTONIC, comparable across processes on the same host).
+:meth:`WallRecorder.drain` folds the worker events into the driver's
+:class:`~repro.obs.events.EventLog` on a common epoch.
 
 Two event kinds cross the queue: ``("span", name, pid, t0, t1, cat,
 args)`` for worker task intervals (the older six-field form without
 ``args`` is still accepted), and ``("instant", name, pid, t, args)``
-for point events (e.g. a corrupt payload detected inside a merge
+for point events (e.g. a corrupt payload detected inside a border
 task).  The driver side additionally records instants and counter
 samples directly -- the fault-recovery dispatcher
 (:mod:`repro.runtime.dispatch`) uses those for its timeout / retry /

@@ -1,19 +1,17 @@
-"""Real-parallel runtime: multiprocessing + shared memory backends.
+"""Multiprocess plumbing: supervised pool dispatch + shared memory.
 
 The BDM simulator (:mod:`repro.bdm`) reproduces the paper's *cost
-model*; this package executes the same tile-decomposed algorithms with
-genuine OS processes for wall-clock speedups on multi-core hosts
-(CPython's GIL rules out thread parallelism for this workload, hence
-processes + :mod:`multiprocessing.shared_memory`, as is standard for
-Python HPC).
+model*; the real-parallel engine is :mod:`repro.darray` over its
+``shmem`` transport, which runs the tile-decomposed algorithms in
+genuine OS processes (CPython's GIL rules out thread parallelism for
+this workload, hence processes + :mod:`multiprocessing.shared_memory`).
+This package holds what that engine and the service tier share:
 
-* :func:`~repro.runtime.parallel.histogram` -- band-parallel tally.
-* :func:`~repro.runtime.parallel.components` -- tile-parallel labeling
-  with driver-side border merges and worker-side final relabeling;
-  bit-identical output to the sequential engines.
-
-On a single-core host (or ``backend="serial"``) both fall back to the
-vectorized sequential implementations.
+* :mod:`repro.runtime.dispatch` -- :func:`~repro.runtime.dispatch.pool_context`,
+  the respawnable :class:`~repro.runtime.dispatch.PoolSupervisor` and
+  the deadline/retry dispatcher :func:`~repro.runtime.dispatch.run_tasks`;
+* :mod:`repro.runtime.shmem` -- :class:`SharedNDArray` and the
+  zero-copy wire plane (:class:`ShmDescriptor`, :class:`ShmArena`).
 """
 
 from repro.runtime.shmem import (
@@ -23,15 +21,11 @@ from repro.runtime.shmem import (
     array_digest,
     verify_descriptor_digest,
 )
-from repro.runtime.parallel import histogram, components, resolve_workers
 
 __all__ = [
     "SharedNDArray",
     "ShmArena",
     "ShmDescriptor",
     "array_digest",
-    "components",
-    "histogram",
-    "resolve_workers",
     "verify_descriptor_digest",
 ]

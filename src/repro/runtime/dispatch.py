@@ -32,6 +32,7 @@ first attempt of a task and let its retry through.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import time
 
@@ -71,6 +72,18 @@ RETRYABLE = (TransientTaskError, CorruptPayloadError)
 #: Poll step while waiting for results (bounded, so deadlines are
 #: checked promptly even when the pool has silently lost a task).
 _POLL_S = 0.005
+
+
+def pool_context():
+    """The multiprocessing context every supervised pool is built from.
+
+    ``fork`` shares the parent's pages copy-on-write, which is cheap;
+    ``spawn`` is the fallback where fork is unavailable.
+    """
+    try:
+        return mp.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX
+        return mp.get_context("spawn")
 
 
 def resolve_timeout(timeout: float | None = None) -> float:

@@ -17,17 +17,18 @@ Two layers live here:
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
+import mmap
+import os
 import re
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
-try:  # POSIX only; Windows shared memory needs no tracker bookkeeping
-    from multiprocessing import resource_tracker as _resource_tracker
+try:  # POSIX only
+    import _posixshmem
 except ImportError:  # pragma: no cover
-    _resource_tracker = None
+    _posixshmem = None
 
 import numpy as np
 
@@ -62,39 +63,37 @@ def array_digest(arr: np.ndarray) -> str:
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Open an existing segment *without* adopting cleanup duty.
+    """Open an existing segment *without* any resource-tracker traffic.
 
-    ``SharedMemory(name=...)`` registers the segment with this
-    process's resource tracker even when merely attaching (CPython
-    bpo-39959, fixed by ``track=`` only in 3.13) -- so an attacher's
-    tracker would "clean up" segments it never owned: spurious unlinks
-    of live segments and leak warnings at exit.  Ownership here is
-    explicit (creator unlinks, attachers only close), so the attach
-    path must leave the tracker out of it.
+    ``SharedMemory(name=...)`` registers the segment with the resource
+    tracker even when merely attaching (CPython bpo-39959, fixed by
+    ``track=`` only in 3.13).  Ownership here is explicit (creator
+    unlinks, attachers only close), so an attach must not touch the
+    tracker at all: forked workers share their owner's tracker, and an
+    attacher's late unregister could land after the owner's unlink had
+    already removed the entry (a ``KeyError`` traceback in the tracker).
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: undo the implicit registration
-        shm = shared_memory.SharedMemory(name=name)
-        if _resource_tracker is not None:
-            with contextlib.suppress(Exception):  # bookkeeping only
-                _resource_tracker.unregister(shm._name, "shared_memory")
-        return shm
-
-
-def _track_before_unlink(shm: shared_memory.SharedMemory) -> None:
-    """Re-register a segment right before its owner unlinks it.
-
-    Registration is a *set* in the tracker daemon, so this is a no-op
-    when the creation-time entry is still there, and it restores the
-    entry when an attacher's :func:`_attach_segment` removed it (the
-    two share one tracker after a fork) -- either way the unlink's own
-    unregister finds exactly one entry to remove and the tracker ends
-    the process empty, warning-free.
-    """
-    if _resource_tracker is not None:
-        with contextlib.suppress(Exception):  # bookkeeping only
-            _resource_tracker.register(shm._name, "shared_memory")
+    except TypeError:  # Python < 3.13
+        pass
+    if _posixshmem is None:  # pragma: no cover - Windows has no tracker
+        return shared_memory.SharedMemory(name=name)
+    # Map the segment the way SharedMemory.__init__ does, minus its
+    # register call.  Nothing global is patched, so a concurrent
+    # create() in another thread still registers its segment.
+    path = "/" + name if shared_memory.SharedMemory._prepend_leading_slash else name
+    fd = _posixshmem.shm_open(path, os.O_RDWR, mode=0o600)
+    try:
+        size = os.fstat(fd).st_size
+        mapping = mmap.mmap(fd, size)
+    except BaseException:
+        os.close(fd)
+        raise
+    shm = shared_memory.SharedMemory.__new__(shared_memory.SharedMemory)
+    shm._name, shm._fd, shm._mmap = path, fd, mapping
+    shm._size, shm._buf = size, memoryview(mapping)
+    return shm
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,6 @@ class SharedNDArray:
         self._shm.close()
 
     def unlink(self) -> None:
-        _track_before_unlink(self._shm)
         self._shm.unlink()
 
     def __enter__(self) -> "SharedNDArray":

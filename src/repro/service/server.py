@@ -59,11 +59,11 @@ from repro.obs.runtime import WallRecorder, instant_or_null
 from repro.obs.trace import TraceContext
 from repro.runtime.dispatch import (
     PoolSupervisor,
+    pool_context,
     resolve_retries,
     resolve_timeout,
     run_tasks,
 )
-from repro.runtime.parallel import _pool_context
 from repro.runtime.shmem import ShmArena, ShmDescriptor
 from repro.service.admission import (
     DEFAULT_QUEUE_DEPTH,
@@ -185,7 +185,7 @@ class BatchExecutor:
         """Create the worker pool eagerly (pre-fork before threads spawn)."""
         if self._supervisor is not None:
             return
-        ctx = _pool_context()
+        ctx = pool_context()
         obs = None
         if self._recorder is not None:
             self._recorder.make_queue(ctx)

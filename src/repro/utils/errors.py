@@ -147,7 +147,7 @@ class ShardDownError(ReproError, RuntimeError):
 
 
 class DegradedRunWarning(UserWarning):
-    """The process-parallel runtime fell back to the serial engine.
+    """The process-parallel darray engine fell back to the serial engine.
 
     Emitted (with a ``fault:degrade`` obs instant) when fault recovery
     was exhausted and the caller allowed degradation; the returned

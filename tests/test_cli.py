@@ -251,7 +251,7 @@ class TestFaultPlanFlags:
     def test_components_runtime_retry(self, capsys, tmp_path):
         plan = self._write_plan(
             tmp_path,
-            [{"site": "cc:merge", "kind": "exception", "round": 0, "group": 0}],
+            [{"site": "darray:border", "kind": "exception", "round": 0, "group": 0}],
         )
         out = run_cli(
             capsys, "components", "--pattern", "4", "--size", "64", "-p", "4",
@@ -261,7 +261,7 @@ class TestFaultPlanFlags:
 
     def test_histogram_sim_rejects_plan(self, capsys, tmp_path):
         plan = self._write_plan(
-            tmp_path, [{"site": "hist:band", "kind": "exception", "task": 0}]
+            tmp_path, [{"site": "darray:hist", "kind": "exception", "task": 0}]
         )
         code = main(
             ["histogram", "--pattern", "6", "--size", "64",
@@ -273,7 +273,7 @@ class TestFaultPlanFlags:
 
     def test_histogram_runtime_with_plan(self, capsys, tmp_path):
         plan = self._write_plan(
-            tmp_path, [{"site": "hist:band", "kind": "exception", "task": 0}]
+            tmp_path, [{"site": "darray:hist", "kind": "exception", "task": 0}]
         )
         out = run_cli(
             capsys, "histogram", "--pattern", "0", "--size", "64", "-p", "4",

@@ -79,8 +79,9 @@ class TestComponentsDarray:
         assert out_path.exists()
 
     def test_runtime_flag_still_works(self, capsys, pgm_path):
+        # the legacy flag now names darray over shmem
         out = run_cli(capsys, "components", pgm_path, "-p", "4", "--runtime")
-        assert "runtime backend: 64x64" in out
+        assert "darray/shmem: 64x64" in out
 
     def test_trace_export(self, capsys, tmp_path, pgm_path):
         trace = tmp_path / "trace.json"

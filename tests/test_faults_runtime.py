@@ -1,4 +1,9 @@
-"""Chaos tests: the hardened process runtime under seeded fault plans.
+"""Chaos tests: the multiprocess darray engine under seeded fault plans.
+
+Every task of the ``shmem`` transport (label, border, fetch, final,
+hist) is a fault site; the matrix covers each kind at the first and
+last tile task and at every merge round, for both workloads and both
+kernel backends.
 
 The contract under test (docs/FAULTS.md): for every seeded single-fault
 plan the run either recovers to a **bit-identical** result or raises a
@@ -19,8 +24,8 @@ from repro.faults import (
     shm_segments,
     single_fault_plans,
 )
+from repro.darray import darray_components, darray_histogram
 from repro.images import binary_test_image, random_greyscale
-from repro.runtime import components, histogram
 from repro.utils.errors import (
     DegradedRunWarning,
     FaultError,
@@ -32,7 +37,11 @@ N = 32  # 2x2 grid of 16x16 tiles for p=4 -> 2 merge rounds
 N_ROUNDS = 2
 # Short deadlines keep crash/hang recovery quick; faulted tasks on this
 # image take milliseconds, so the margin is still ~100x.
-FAST = dict(workers=WORKERS, backend="process", timeout=1.5, max_retries=2)
+FAST = dict(p=WORKERS, transport="shmem", workers=WORKERS, timeout=1.5, max_retries=2)
+
+
+def components(image, **kw):
+    return darray_components(image, **kw).labels
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +51,7 @@ def image():
 
 @pytest.fixture(scope="module")
 def serial_labels(image):
-    return components(image, backend="serial")
+    return components(image, transport="local")
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +61,7 @@ def grey_image():
 
 def _matrix(workload):
     plans = single_fault_plans(
-        workload=workload, engine="process", n_rounds=N_ROUNDS, n_tasks=WORKERS
+        workload=workload, engine="darray", n_rounds=N_ROUNDS, n_tasks=WORKERS
     )
     return [pytest.param(p, id=p.describe()) for p in plans]
 
@@ -73,8 +82,8 @@ class TestComponentsChaosMatrix:
 
     @pytest.mark.parametrize("plan", _matrix("components"))
     def test_serial_engine_ignores_plans(self, plan, image, serial_labels):
-        # The serial engine has no workers to fault; plans are inert.
-        got = components(image, backend="serial", fault_plan=plan)
+        # The in-process transport has no workers to fault; plans are inert.
+        got = components(image, transport="local", fault_plan=plan)
         assert np.array_equal(got, serial_labels)
 
 
@@ -82,25 +91,26 @@ class TestHistogramChaosMatrix:
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     @pytest.mark.parametrize("plan", _matrix("histogram"))
     def test_single_fault_recovers(self, plan, kernel, grey_image):
-        expect = histogram(grey_image, 64, backend="serial")
+        expect = darray_histogram(grey_image, 64, transport="local")
         with assert_no_shm_leak():
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DegradedRunWarning)
-                got = histogram(
+                got = darray_histogram(
                     grey_image, 64, kernel=kernel, fault_plan=plan, **FAST
                 )
         assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("plan", _matrix("histogram"))
     def test_serial_engine_ignores_plans(self, plan, grey_image):
-        got = histogram(grey_image, 64, backend="serial", fault_plan=plan)
-        assert np.array_equal(got, histogram(grey_image, 64, backend="serial"))
+        expect = darray_histogram(grey_image, 64, transport="local")
+        got = darray_histogram(grey_image, 64, transport="local", fault_plan=plan)
+        assert np.array_equal(got, expect)
 
 
-def _persistent_merge_fault():
-    """A plan no retry budget can beat: every attempt of one merge task."""
+def _persistent_border_fault():
+    """A plan no retry budget can beat: every attempt of one border task."""
     return FaultPlan(faults=(
-        FaultSpec(site="cc:merge", kind="exception", round=0, group=0, times=-1),
+        FaultSpec(site="darray:border", kind="exception", round=0, group=0, times=-1),
     ))
 
 
@@ -112,7 +122,7 @@ class TestDegradation:
         with assert_no_shm_leak():
             with pytest.warns(DegradedRunWarning, match="degraded to the serial"):
                 got = components(
-                    image, recorder=rec, fault_plan=_persistent_merge_fault(),
+                    image, recorder=rec, fault_plan=_persistent_border_fault(),
                     **FAST,
                 )
         assert np.array_equal(got, serial_labels)  # still bit-identical
@@ -125,19 +135,19 @@ class TestDegradation:
         with assert_no_shm_leak():
             with pytest.raises(FaultError) as err:
                 components(
-                    image, fault_plan=_persistent_merge_fault(),
+                    image, fault_plan=_persistent_border_fault(),
                     degrade=False, **FAST,
                 )
-        assert err.value.site == "cc:merge"
+        assert err.value.site == "darray:border"
 
     def test_persistent_hang_becomes_timeout_error(self, image):
         plan = FaultPlan(faults=(
-            FaultSpec(site="cc:label", kind="hang", task=0, times=-1),
+            FaultSpec(site="darray:label", kind="hang", task=0, times=-1),
         ))
         with assert_no_shm_leak():
             with pytest.raises(TaskTimeoutError):
                 components(
-                    image, workers=WORKERS, backend="process",
+                    image, p=WORKERS, transport="shmem", workers=WORKERS,
                     timeout=0.5, max_retries=1, degrade=False, fault_plan=plan,
                 )
 
@@ -149,7 +159,7 @@ class TestFaultEventStreams:
         from repro.obs import WallRecorder
 
         plan = FaultPlan(faults=(
-            FaultSpec(site="cc:label", kind="crash", task=0),
+            FaultSpec(site="darray:label", kind="crash", task=0),
         ))
         rec = WallRecorder()
         got = components(image, recorder=rec, fault_plan=plan, **FAST)
@@ -163,7 +173,7 @@ class TestFaultEventStreams:
         from repro.obs import WallRecorder
 
         plan = FaultPlan(faults=(
-            FaultSpec(site="cc:merge", kind="corrupt", round=1, group=0),
+            FaultSpec(site="darray:border", kind="corrupt", round=1, group=0),
         ))
         rec = WallRecorder()
         got = components(image, recorder=rec, fault_plan=plan, **FAST)

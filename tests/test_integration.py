@@ -14,18 +14,17 @@ from repro.images import (
     grey_quadrants,
     random_greyscale,
 )
+from repro.darray import darray_components, darray_histogram
 from repro.machines import CM5, MACHINES, get_machine
-from repro.runtime import components as rt_components
-from repro.runtime import histogram as rt_histogram
 
 
 class TestThreeImplementationsAgree:
-    """Simulator, runtime, and sequential engines: one answer."""
+    """Simulator, darray over shmem, and sequential engines: one answer."""
 
     def test_histogram_triple_agreement(self):
         img = darpa_like(64, 32, seed=21)
         a = parallel_histogram(img, 32, 16).histogram
-        b = rt_histogram(img, 32, workers=4, backend="process")
+        b = darray_histogram(img, 32, p=4, transport="shmem")
         c = sequential_histogram(img, 32)
         assert np.array_equal(a, b)
         assert np.array_equal(b, c)
@@ -34,7 +33,7 @@ class TestThreeImplementationsAgree:
     def test_components_triple_agreement(self, grey):
         img = darpa_like(64, 8, seed=22) if grey else binary_test_image(9, 64)
         a = parallel_components(img, 16, grey=grey).labels
-        b = rt_components(img, grey=grey, workers=4, backend="process")
+        b = darray_components(img, grey=grey, p=4, transport="shmem").labels
         c = sequential_components(img, grey=grey)
         assert np.array_equal(a, b)
         assert np.array_equal(b, c)

@@ -3,9 +3,10 @@
 ``tests/golden/kernels_golden.json`` pins, for every Figure-1 pattern
 generator and the DARPA-like scene at n=64, the expected histogram, the
 component count, and a SHA-256 over the canonical little-endian int64
-label image.  Each fixture is then checked against **every** runtime
-backend (``serial``, ``process``) x kernel (``python``, ``numpy``)
-combination, so a regression in any engine, any kernel backend, or the
+label image.  Each fixture is then checked against **every** execution
+backend (``serial`` = the darray ``local`` transport in process,
+``process`` = its ``shmem`` transport on worker processes) x kernel
+(``python``, ``numpy``) combination, so a regression in any engine, any kernel backend, or the
 merge machinery shows up as a digest mismatch against a value reviewed
 into git -- not merely as two engines agreeing on a new wrong answer.
 
@@ -23,15 +24,16 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.darray import darray_components, darray_histogram
 from repro.images import binary_test_image, darpa_like
-from repro.runtime import components, histogram
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "kernels_golden.json"
 
 N = 64
 DARPA_K = 256
 
-BACKENDS = ("serial", "process")
+#: backend name -> darray transport
+BACKENDS = {"serial": "local", "process": "shmem"}
 KERNELS = ("python", "numpy")
 
 
@@ -67,18 +69,13 @@ def _label_digest(labels: np.ndarray) -> str:
     ).hexdigest()
 
 
-def _measure(case: dict, *, backend: str, kernel: str, workers: int = 4) -> dict:
+def _measure(case: dict, *, backend: str, kernel: str, p: int = 4) -> dict:
     image = _case_image(case["name"])
-    labels = components(
-        image,
-        connectivity=case["connectivity"],
-        grey=case["grey"],
-        workers=workers if backend == "process" else None,
-        backend=backend,
-        kernel=kernel,
-    )
-    hist = histogram(image, case["k"], backend=backend, kernel=kernel,
-                     workers=workers if backend == "process" else None)
+    opts = dict(p=p, transport=BACKENDS[backend], kernel=kernel)
+    labels = darray_components(
+        image, connectivity=case["connectivity"], grey=case["grey"], **opts
+    ).labels
+    hist = darray_histogram(image, case["k"], **opts)
     return {
         "histogram": [int(x) for x in hist],
         "n_components": int(np.unique(labels[labels != 0]).size),

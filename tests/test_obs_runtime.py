@@ -1,4 +1,4 @@
-"""Tests for wall-clock observability of the multiprocessing runtime."""
+"""Tests for wall-clock observability of the multiprocess darray engine."""
 
 import json
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.merge import merge_schedule
 from repro.core.tiles import ProcessorGrid
+from repro.darray import darray_components, darray_histogram
 from repro.images import darpa_like
 from repro.obs import (
     WallRecorder,
@@ -14,10 +15,24 @@ from repro.obs import (
     validate_chrome_trace,
     wall_metrics,
 )
-from repro.runtime import components, histogram
 
 N = 64
 K = 256
+
+
+def histogram(image, k, *, workers=None, **kw):
+    """Tile-parallel tally: one tile per worker, as a band per worker was."""
+    if workers is None:
+        return darray_histogram(image, k, transport="local", **kw)
+    return darray_histogram(
+        image, k, p=workers, transport="shmem", workers=workers, **kw
+    )
+
+
+def components(image, *, workers, **kw):
+    return darray_components(
+        image, p=workers, transport="shmem", workers=workers, **kw
+    ).labels
 
 
 @pytest.fixture(scope="module")
@@ -28,26 +43,26 @@ def image():
 class TestHistogramTrace:
     def test_spans_per_worker(self, image):
         rec = WallRecorder()
-        histogram(image, K, workers=2, backend="process", recorder=rec)
+        histogram(image, K, workers=2, recorder=rec)
         assert len(rec.worker_lanes) == 2  # every pool process traced
-        bands = [s for s in rec.log.spans if s.name.startswith("hist:band")]
-        assert len(bands) == 2
+        tiles = [s for s in rec.log.spans if s.name.startswith("darray:hist:t")]
+        assert len(tiles) == 2
 
     def test_driver_spans_present(self, image):
         rec = WallRecorder()
-        histogram(image, K, workers=2, backend="process", recorder=rec)
+        histogram(image, K, workers=2, recorder=rec)
         names = {s.name for s in rec.log.spans if s.lane == "driver"}
-        assert {"shmem:setup", "hist:tally", "hist:reduce"} <= names
+        assert "darray:hist" in names
 
     def test_result_unchanged_by_recording(self, image):
         rec = WallRecorder()
-        traced = histogram(image, K, workers=2, backend="process", recorder=rec)
-        plain = histogram(image, K, workers=2, backend="process")
+        traced = histogram(image, K, workers=2, recorder=rec)
+        plain = histogram(image, K, workers=2)
         assert np.array_equal(traced, plain)
 
     def test_serial_backend_records_nothing_from_workers(self, image):
         rec = WallRecorder()
-        histogram(image, K, backend="serial", recorder=rec)
+        histogram(image, K, recorder=rec)
         assert rec.worker_lanes == []
 
 
@@ -55,7 +70,7 @@ class TestComponentsTrace:
     @pytest.fixture(scope="class")
     def traced(self, image):
         rec = WallRecorder()
-        labels = components(image, grey=True, workers=4, backend="process", recorder=rec)
+        labels = components(image, grey=True, workers=4, recorder=rec)
         return rec, labels
 
     def test_span_per_worker(self, traced):
@@ -66,14 +81,14 @@ class TestComponentsTrace:
         rec, _ = traced
         rounds = len(merge_schedule(ProcessorGrid(4, image.shape)))
         driver_rounds = [
-            s for s in rec.log.spans if s.name.startswith("cc:merge:r")
+            s for s in rec.log.spans if s.name.startswith("darray:merge:r")
         ]
         assert len(driver_rounds) == rounds
 
     def test_merge_group_tasks_recorded(self, traced):
         rec, _ = traced
-        groups = [s for s in rec.log.spans if s.name.startswith("cc:merge:s")]
-        assert groups  # at least one group task span came through the queue
+        groups = [s for s in rec.log.spans if s.name.startswith("darray:border:s")]
+        assert groups  # at least one border task span came through the queue
 
     def test_chrome_trace_validates(self, traced):
         rec, _ = traced
@@ -82,7 +97,7 @@ class TestComponentsTrace:
 
     def test_result_unchanged_by_recording(self, traced, image):
         _, labels = traced
-        plain = components(image, grey=True, workers=4, backend="process")
+        plain = components(image, grey=True, workers=4)
         assert np.array_equal(labels, plain)
 
     def test_wall_metrics_shape(self, traced):
@@ -93,7 +108,7 @@ class TestComponentsTrace:
         assert snap["p"] == 4
         assert snap["totals"]["elapsed_s"] > 0
         names = {ph["name"] for ph in snap["phases"]}
-        assert "cc:label" in names and "worker:init" in names
+        assert "darray:label" in names and "worker:init" in names
         json.dumps(snap)  # must be serializable
 
 

@@ -18,9 +18,8 @@ from repro.core.connected_components import parallel_components
 from repro.core.equalization import parallel_equalize
 from repro.core.histogram import parallel_histogram
 from repro.core.spmd_components import spmd_components
+from repro.darray import darray_components, darray_histogram
 from repro.machines import CM5, IDEAL
-from repro.runtime import components as rt_components
-from repro.runtime import histogram as rt_histogram
 from tests.conftest import oracle_binary_labels, oracle_grey_labels
 
 
@@ -87,11 +86,11 @@ class TestOtherPathsRect:
         assert np.array_equal(res.labels, sequential_components(rect_binary))
 
     def test_runtime_components(self, rect_binary):
-        out = rt_components(rect_binary, workers=4, backend="process")
+        out = darray_components(rect_binary, p=4, transport="shmem").labels
         assert np.array_equal(out, sequential_components(rect_binary))
 
     def test_runtime_histogram(self, rect_grey):
-        out = rt_histogram(rect_grey, 8, workers=2, backend="process")
+        out = darray_histogram(rect_grey, 8, p=2, transport="shmem")
         assert np.array_equal(out, sequential_histogram(rect_grey, 8))
 
     def test_equalization(self, rect_grey):
