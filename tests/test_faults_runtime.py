@@ -71,7 +71,7 @@ class TestComponentsChaosMatrix:
 
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     @pytest.mark.parametrize("plan", _matrix("components"))
-    def test_single_fault_recovers(self, plan, kernel, image, serial_labels):
+    def test_one_fault_recovers(self, plan, kernel, image, serial_labels):
         with assert_no_shm_leak():
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DegradedRunWarning)
@@ -81,7 +81,7 @@ class TestComponentsChaosMatrix:
         assert np.array_equal(got, serial_labels)
 
     @pytest.mark.parametrize("plan", _matrix("components"))
-    def test_serial_engine_ignores_plans(self, plan, image, serial_labels):
+    def test_local_ignores_plans(self, plan, image, serial_labels):
         # The in-process transport has no workers to fault; plans are inert.
         got = components(image, transport="local", fault_plan=plan)
         assert np.array_equal(got, serial_labels)
@@ -90,7 +90,7 @@ class TestComponentsChaosMatrix:
 class TestHistogramChaosMatrix:
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     @pytest.mark.parametrize("plan", _matrix("histogram"))
-    def test_single_fault_recovers(self, plan, kernel, grey_image):
+    def test_one_fault_recovers(self, plan, kernel, grey_image):
         expect = darray_histogram(grey_image, 64, transport="local")
         with assert_no_shm_leak():
             with warnings.catch_warnings():
@@ -101,7 +101,7 @@ class TestHistogramChaosMatrix:
         assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("plan", _matrix("histogram"))
-    def test_serial_engine_ignores_plans(self, plan, grey_image):
+    def test_local_ignores_plans(self, plan, grey_image):
         expect = darray_histogram(grey_image, 64, transport="local")
         got = darray_histogram(grey_image, 64, transport="local", fault_plan=plan)
         assert np.array_equal(got, expect)
